@@ -2,12 +2,14 @@
 
 Measures what the sharded scenario runner's per-chunk checkpointing
 buys: a diurnal-Cori replay is run cold (every chunk computed), then
-"interrupted" after only the even chunks (shard 0 of 2) and resumed —
-the resume loads shard 0's checkpoints and computes only the missing
-chunks, and a final fully-warm replay assembles the whole horizon from
-cache without simulating a single epoch. All three paths must produce
-bit-identical aggregates; the recorded speedup is only meaningful
-because the chunk decomposition is exact under per-epoch seeding.
+"interrupted" after the first half of its chunks were checkpointed and
+resumed — the resume loads those checkpoints, restores the last one's
+carried backend snapshot, and computes only the missing tail — and a
+final fully-warm replay assembles the whole horizon from cache without
+simulating a single epoch. All three paths must produce bit-identical
+aggregates; the recorded speedup is only meaningful because chunks
+carry their backend state and draw per-epoch seeded traffic, which
+makes the chunk decomposition exact.
 
 As a script this writes ``BENCH_scenario_sharding.json`` (CI
 regenerates it in ``--quick`` mode and fails if a fully-warm resume
@@ -46,24 +48,26 @@ def run_suite(quick: bool = False) -> dict:
         scenario = week_cori_scenario()
         chunk_epochs = 1440
 
-    def runner(cache, **kwargs):
+    def runner(cache):
         return ShardedScenarioRunner(
             scenario, "awgr", chunk_epochs=chunk_epochs, base_seed=11,
-            cache=cache, **kwargs)
+            cache=cache)
 
     with tempfile.TemporaryDirectory() as tmp:
         cache = ResultCache(tmp)
         cold = runner(cache).run(resume=False)
         cold_aggregates = cold.report().as_dict()
 
-        # "Interrupt": pretend the run died after shard 0's chunks;
-        # start over from the checkpoints.
-        interrupted_cache = ResultCache(Path(tmp) / "interrupted")
-        partial = runner(interrupted_cache, shards=2,
-                         shard_index=0).run()
-        assert not partial.complete
-        resumed = runner(interrupted_cache).run(resume=True)
-        assert resumed.n_cached == partial.n_computed
+        # "Interrupt": pretend the run died after checkpointing the
+        # first half of its chunks; start over from the checkpoints.
+        interrupted = runner(ResultCache(Path(tmp) / "interrupted"))
+        done = (len(cold.chunks) + 1) // 2
+        for chunk in cold.chunks[:done]:
+            interrupted.cache.store(
+                interrupted.chunk_key(chunk.start, chunk.stop),
+                cold.payloads[chunk.index])
+        resumed = interrupted.run(resume=True)
+        assert resumed.n_cached == done
         assert resumed.report().as_dict() == cold_aggregates
 
         # Fully warm: every chunk loads, nothing simulates.

@@ -1,12 +1,11 @@
-"""Pass-1 concurrency index: a picklable, AST-free module summary.
+"""Pass-1 concurrency index: an AST-free module summary.
 
 The two-pass engine parses each file once and boils it down to a
 :class:`ModuleSummary` — classes, methods, every attribute access with
 the set of locks lexically held at that point, lock-object attributes,
 ``threading.Thread`` targets, waits/notifies, and the module's name
 surface (used by SIM006 as twin-test evidence). Summaries hold no AST
-nodes, so ``--jobs N`` can build them in worker processes and ship
-them back through pickle; pass 2 (:mod:`repro.checks.rules.locks`,
+nodes; pass 2 (:mod:`repro.checks.rules.locks`,
 :mod:`repro.checks.rules.twins`) runs over the merged
 :class:`ProjectIndex`.
 

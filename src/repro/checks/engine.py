@@ -2,10 +2,9 @@
 
 Pass 1 parses each file once into a
 :class:`~repro.checks.context.ModuleContext`, runs every selected
-per-file rule, and boils the AST down to a picklable
-:class:`~repro.checks.concurrency.ModuleSummary`. Pass 1 is
-embarrassingly parallel: ``jobs > 1`` fans files out over a
-``ProcessPoolExecutor``. Pass 2 merges the summaries into a
+per-file rule, and boils the AST down to a
+:class:`~repro.checks.concurrency.ModuleSummary`. Pass 2 merges the
+summaries into a
 :class:`~repro.checks.concurrency.ProjectIndex` and runs the
 project-wide rules (SIM005/SIM006) over it.
 
@@ -26,7 +25,6 @@ the code they excused.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -136,7 +134,7 @@ def _match_suppression(suppressions, file_suppressions,
 
 @dataclass
 class FileOutcome:
-    """Everything pass 1 learned about one file (picklable)."""
+    """Everything pass 1 learned about one file."""
 
     report: CheckReport
     summary: ModuleSummary | None = None
@@ -176,12 +174,12 @@ def _analyze_source(source: str, path: str,
     return FileOutcome(report=report, summary=summary, used=used)
 
 
-def _analyze_path(args: tuple) -> FileOutcome:
-    """Process-pool entry point: args = (shown, fs_path, rule_names,
-    index_only)."""
-    shown, fs_path, rule_names, index_only = args
+def _analyze_path(path: Path, rule_names: tuple[str, ...] | None,
+                  index_only: bool) -> FileOutcome:
+    """Pass 1 over one file on disk (read errors become ParseErrors)."""
+    shown = display_path(path)
     try:
-        source = Path(fs_path).read_text(encoding="utf-8")
+        source = path.read_text(encoding="utf-8")
     except OSError as exc:
         report = CheckReport(files=0 if index_only else 1,
                              indexed=1 if index_only else 0)
@@ -313,31 +311,21 @@ def check_file(path: str | Path,
 
 def run_checks(paths: Iterable[str | Path],
                rules: Sequence[str] | None = None,
-               jobs: int = 1,
                index_paths: Iterable[str | Path] = (),
                strict_suppressions: bool = False) -> CheckReport:
     """Check every python file under ``paths``.
 
     ``index_paths`` files join the cross-module index without being
-    checked; ``jobs > 1`` parallelizes pass 1 across processes."""
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
+    checked."""
     rule_names = tuple(rules) if rules is not None else None
     file_rules, project_rules = _selected_rules(rule_names)
     checked = iter_python_files(paths)
     checked_set = {p.resolve() for p in checked}
     index_only = [p for p in iter_python_files(index_paths)
                   if p.resolve() not in checked_set]
-    tasks = ([(display_path(p), str(p), rule_names, False)
-              for p in checked]
-             + [(display_path(p), str(p), rule_names, True)
-                for p in index_only])
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_analyze_path, tasks,
-                                     chunksize=8))
-    else:
-        outcomes = [_analyze_path(task) for task in tasks]
+    outcomes = ([_analyze_path(p, rule_names, False) for p in checked]
+                + [_analyze_path(p, rule_names, True)
+                   for p in index_only])
     report = CheckReport()
     for outcome in outcomes:
         report.extend(outcome.report)

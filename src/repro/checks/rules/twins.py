@@ -17,7 +17,7 @@ The twin table mirrors the repo's actual batch seams. Backends toggle
 names, so flags are accepted as equivalent evidence.
 
 The test-evidence check only fires when at least one test module was
-indexed (``repro check --jobs``/CLI auto-index ``tests/``; engine
+indexed (the CLI auto-indexes ``tests/``; engine
 ``index_paths``): a bare single-file run can prove oracle presence
 but cannot see the test tree, and must not cry wolf.
 """

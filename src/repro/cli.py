@@ -273,30 +273,22 @@ def _cmd_scenario(args: argparse.Namespace) -> None:
         if args.repeats > 1:
             raise SystemExit("scenario: --repeats and --shards are "
                              "mutually exclusive")
-        if args.seeding != "per-epoch":
-            raise SystemExit(
-                "scenario: --shards requires per-epoch seeding "
-                "(sequential streams are not shardable)")
         if (args.shard_index is not None
                 and not 0 <= args.shard_index < args.shards):
             raise SystemExit("scenario: --shard-index must be in "
                              "[0, --shards)")
         if args.chunk_epochs < 1:
             raise SystemExit("scenario: --chunk-epochs must be >= 1")
-        if args.workers < 1:
-            raise SystemExit("scenario: --workers must be >= 1")
         from repro.experiments import ResultCache
         runner = ShardedScenarioRunner(
             scenario, backend=args.backend,
-            chunk_epochs=args.chunk_epochs, boundary=args.boundary,
-            shards=args.shards,
+            chunk_epochs=args.chunk_epochs, shards=args.shards,
             shard_index=args.shard_index, base_seed=args.seed,
-            cache=ResultCache(args.cache_dir), workers=args.workers)
+            cache=ResultCache(args.cache_dir))
         result = runner.run(resume=args.resume)
         print(render_table(
             result.rows(),
-            title=f"{title} — {args.shards}-shard chunk replay "
-                  f"({args.boundary} boundaries)"))
+            title=f"{title} — {args.shards}-shard chunk replay"))
         print()
         print(result.summary())
         if result.complete:
@@ -316,8 +308,7 @@ def _cmd_scenario(args: argparse.Namespace) -> None:
             scenario,
             lambda seed: make_backend(args.backend, scenario.n_nodes,
                                       seed=seed),
-            repeats=args.repeats, base_seed=args.seed,
-            seeding=args.seeding)
+            repeats=args.repeats, base_seed=args.seed)
         rows = [{"metric": name, **ci}
                 for name, ci in metrics.items()]
         print(render_table(
@@ -326,8 +317,7 @@ def _cmd_scenario(args: argparse.Namespace) -> None:
         return
     backend = make_backend(args.backend, scenario.n_nodes,
                            seed=args.seed)
-    report = ScenarioRunner(scenario, backend,
-                            seeding=args.seeding).run(seed=args.seed)
+    report = ScenarioRunner(scenario, backend).run(seed=args.seed)
     print(render_table(report.rows(), title=f"{title} — per-epoch"))
     print()
     print(render_kv(report.as_dict(), title="Aggregate"))
@@ -477,7 +467,7 @@ def _cmd_check(args: argparse.Namespace) -> None:
     try:
         report = checks.run_checks(
             paths, rules=([] if args.parse_only else rules),
-            jobs=args.jobs, index_paths=index_paths,
+            index_paths=index_paths,
             strict_suppressions=args.strict_suppressions)
     except KeyError as exc:
         raise SystemExit(f"check: {exc.args[0]}") from None
@@ -623,15 +613,12 @@ def build_parser() -> argparse.ArgumentParser:
                            help="run the small built-in demo scenario")
             p.add_argument("--list", action="store_true",
                            help="list registered scenarios and exit")
-            p.add_argument("--seeding", default="per-epoch",
-                           choices=("per-epoch", "sequential"),
-                           help="epoch-seed mode: per-epoch (default, "
-                                "shardable) or sequential (pre-"
-                                "sharding compatibility streams)")
             p.add_argument("--shards", type=int, default=None,
                            help="run as a chunked, checkpointed "
-                                "replay split across N shards "
-                                "(per-epoch seeding)")
+                                "replay split across N shards; each "
+                                "chunk restores its predecessor's "
+                                "backend snapshot, so the result is "
+                                "bit-identical to a monolithic run")
             p.add_argument("--shard-index", type=int, default=None,
                            help="with --shards: run only this shard's "
                                 "chunks (omit to drive every chunk "
@@ -640,18 +627,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="epochs per checkpointed chunk "
                                 "(default: 1440, one day of 1-minute "
                                 "epochs)")
-            p.add_argument("--boundary", default="reset",
-                           choices=("reset", "carry"),
-                           help="chunk-boundary mode: reset (default; "
-                                "fresh backend per chunk, any shard "
-                                "computes any chunk) or carry "
-                                "(restore the previous chunk's "
-                                "backend snapshot — bit-identical to "
-                                "a monolithic run, chunks pipeline "
-                                "in order)")
-            p.add_argument("--workers", type=int, default=1,
-                           help="process-pool width for this "
-                                "process's chunks (default: 1)")
             p.add_argument("--cache-dir", default=".repro-cache",
                            help="chunk checkpoint directory, shared "
                                 "by all shards (default: "
@@ -742,9 +717,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--show-baselined", action="store_true",
                            help="also print findings covered by the "
                                 "baseline")
-            p.add_argument("--jobs", type=int, default=1, metavar="N",
-                           help="parse and per-file-check N files in "
-                                "parallel (default: 1)")
             p.add_argument("--strict-suppressions",
                            action="store_true",
                            help="report suppression directives that "

@@ -89,13 +89,11 @@ from repro.scenarios.runner import (
     run_replicated,
 )
 from repro.scenarios.scenario import (
-    SEEDING_MODES,
     Scenario,
     ScenarioEvent,
     derive_epoch_seed,
 )
 from repro.scenarios.sharding import (
-    BOUNDARY_MODES,
     ChunkKey,
     ChunkStatus,
     ShardedScenarioResult,
@@ -115,7 +113,6 @@ __all__ = [
     "AWGRBackend",
     "BACKENDS",
     "BackendInfo",
-    "BOUNDARY_MODES",
     "ChunkKey",
     "ChunkStatus",
     "DragonflyBackend",
@@ -126,7 +123,6 @@ __all__ = [
     "FabricBackend",
     "FullMeshBackend",
     "SCENARIOS",
-    "SEEDING_MODES",
     "Scenario",
     "ScenarioEvent",
     "ScenarioReport",

@@ -127,9 +127,9 @@ def run_arena(scenario: Scenario,
         Optional per-backend constructor overrides,
         ``{name: {param: value}}``; keys must name raced backends.
 
-    Uses per-epoch counter seeding only (the mode where traffic is
+    Traffic comes from per-epoch counter seeds, so it is
     position-independent, which is what makes sharing one generated
-    batch across contenders exact).
+    batch across contenders exact.
     """
     names = tuple(backends) if backends is not None \
         else available_backends()

@@ -35,6 +35,7 @@ the package ``__init__`` imports them in order so any entry path
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, TypeVar
 
@@ -65,6 +66,14 @@ class BackendInfo:
     seed_param: str | None = None
     #: Default config merged under caller overrides.
     defaults: dict = field(default_factory=dict)
+
+    def param_names(self) -> tuple[str, ...]:
+        """Sorted keyword names ``make_backend`` may pass through as
+        ``params``: every constructor parameter except ``n_nodes``,
+        which the caller supplies positionally."""
+        return tuple(sorted(
+            name for name in inspect.signature(self.cls).parameters
+            if name != "n_nodes"))
 
     def capabilities(self) -> dict:
         """JSON-stable capability flags for tables and ``/backends``."""

@@ -17,9 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.analysis.stats import mean_ci, quantiles
-from repro.network.traffic import as_generator
 from repro.scenarios.backends import EpochReport, FabricBackend
-from repro.scenarios.scenario import SEEDING_MODES, Scenario
+from repro.scenarios.scenario import Scenario
 
 
 @dataclass
@@ -118,36 +117,23 @@ class ScenarioReport:
 class ScenarioRunner:
     """Drives one scenario through one fabric backend.
 
-    Parameters
-    ----------
-    scenario, backend:
-        What to play and what to play it against.
-    seeding:
-        ``"per-epoch"`` (default) derives an independent counter-based
-        seed per epoch via
-        :func:`~repro.scenarios.scenario.derive_epoch_seed`, so the
-        epoch stream is bit-identical to what
-        :class:`~repro.scenarios.sharding.ShardedScenarioRunner`
-        workers generate for their slices. ``"sequential"`` restores
-        the historical single threaded generator (not bit-compatible
-        with per-epoch mode — see the module docstring of
-        :mod:`repro.scenarios.scenario` for the bit-exactness story).
+    Every epoch's traffic comes from its own counter-based seed
+    (:func:`~repro.scenarios.scenario.derive_epoch_seed`), so the
+    epoch stream is bit-identical to what
+    :class:`~repro.scenarios.sharding.ShardedScenarioRunner` chunks
+    and service sessions generate for their slices.
     """
 
     scenario: Scenario
     backend: FabricBackend
-    seeding: str = "per-epoch"
 
     def run(self, seed: int = 0) -> ScenarioReport:
         """Play the scenario end to end and aggregate the epochs."""
-        rng = (as_generator(seed) if self.seeding == "sequential"
-               else None)
-        return self.step_epochs(0, self.scenario.n_epochs, seed=seed,
-                                rng=rng)
+        return self.step_epochs(0, self.scenario.n_epochs, seed=seed)
 
     def step_epochs(self, start: int, stop: int, seed: int = 0,
-                    report: ScenarioReport | None = None,
-                    rng=None) -> ScenarioReport:
+                    report: ScenarioReport | None = None
+                    ) -> ScenarioReport:
         """Advance epochs ``[start, stop)`` against the live backend.
 
         The reentrant core of :meth:`run`: because the backend carries
@@ -161,22 +147,12 @@ class ScenarioRunner:
         monolithic run.
 
         ``report`` accumulates across calls (a fresh one is created
-        when omitted). ``rng`` is required for — and only used by —
-        ``"sequential"`` seeding, where the caller owns the threaded
-        generator; thread the *same* generator through successive
-        calls to match a monolithic sequential run.
+        when omitted).
         """
-        if self.seeding not in SEEDING_MODES:
-            raise ValueError(f"unknown seeding {self.seeding!r} "
-                             f"(known: {SEEDING_MODES})")
         if not 0 <= start <= stop <= self.scenario.n_epochs:
             raise ValueError(
                 f"epoch range [{start}, {stop}) outside "
                 f"[0, {self.scenario.n_epochs}]")
-        if self.seeding == "sequential" and rng is None:
-            raise ValueError(
-                "sequential seeding threads one generator through "
-                "every epoch; pass the caller-owned rng")
         if report is None:
             report = ScenarioReport(scenario=self.scenario.name,
                                     backend=self.backend.name)
@@ -186,18 +162,13 @@ class ScenarioRunner:
                     report.events_applied += 1
                 else:
                     report.events_ignored += 1
-            if self.seeding == "sequential":
-                batch = self.scenario.flow_batch(epoch, rng)
-            else:
-                batch = self.scenario.flow_batch_at(epoch,
-                                                    base_seed=seed)
+            batch = self.scenario.flow_batch_at(epoch, base_seed=seed)
             report.epochs.append(self.backend.step(batch))
         return report
 
 
 def run_replicated(scenario: Scenario, make_backend_fn, repeats: int,
-                   base_seed: int = 0, confidence: float = 0.95,
-                   seeding: str = "per-epoch"
+                   base_seed: int = 0, confidence: float = 0.95
                    ) -> dict[str, dict[str, float]]:
     """Run a scenario ``repeats`` times at seeds ``base_seed + i`` and
     reduce each aggregate metric to a mean with a normal-approx CI.
@@ -211,7 +182,7 @@ def run_replicated(scenario: Scenario, make_backend_fn, repeats: int,
     for i in range(repeats):
         seed = base_seed + i
         backend = make_backend_fn(seed)
-        runs.append(ScenarioRunner(scenario, backend, seeding=seeding)
+        runs.append(ScenarioRunner(scenario, backend)
                     .run(seed=seed).as_dict())
     numeric = [k for k, v in runs[0].items()
                if isinstance(v, (int, float)) and not isinstance(v, bool)]

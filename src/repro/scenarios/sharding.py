@@ -1,57 +1,33 @@
 """Sharded, checkpointed scenario execution for week-scale replays.
 
 :class:`ShardedScenarioRunner` splits a scenario's epoch stream into
-fixed-size *chunks* (e.g. one day of 1-minute epochs), runs each chunk
-on a fresh backend with counter-based per-epoch seeds, and checkpoints
-every chunk's :class:`~repro.scenarios.backends.EpochReport` list
-through a content-addressed result cache. Because per-epoch seeding
-(:func:`~repro.scenarios.scenario.derive_epoch_seed`) makes every
-chunk's traffic independent of every other chunk's draws, the chunk
-decomposition is exact: any worker can compute any chunk, in any
-order, bit-identically.
+fixed-size *chunks* (e.g. one day of 1-minute epochs) and checkpoints
+every chunk's :class:`~repro.scenarios.backends.EpochReport` list,
+together with the backend ``snapshot()`` taken at the chunk's end,
+through a content-addressed result cache. Chunk ``k`` restores chunk
+``k-1``'s snapshot before stepping its own epochs, so in-flight flows,
+wavelength occupancy, failed planes and RNG state all cross the
+boundary. Traffic comes from counter-based per-epoch seeds
+(:func:`~repro.scenarios.scenario.derive_epoch_seed`), so a chunk's
+flows never depend on which process drew the earlier epochs. Together
+these make the merged replay **bit-identical to a monolithic**
+:class:`~repro.scenarios.runner.ScenarioRunner` run whose backend was
+seeded with :func:`chunk_backend_seed`, at any chunk size.
 
 That buys three things at once:
 
-* **sharding** — N processes (or machines) pointed at the same cache
-  directory each own the ``index % shards == shard_index`` slice of
-  the chunk list and converge on the full replay without any
-  coordination service;
 * **resume** — an interrupted week-scale replay restarts from the
-  last completed chunk: cached chunks load instantly, only the
-  missing tail is recomputed;
+  last checkpointed chunk: cached chunks load instantly and the
+  missing tail restores the last stored snapshot;
+* **sharding** — processes (or machines) pointed at the same cache
+  directory each own the ``index % shards == shard_index`` slice of
+  the chunk list. Chunks are sequentially dependent, so a shard
+  computes an owned chunk only once its predecessor's checkpoint is
+  in the shared cache; alternating shard passes (or one final
+  ``shard_index=None`` resume) converge on the full replay;
 * **identical aggregates** — a run is fully determined by (scenario,
-  backend, chunk size, base seed), never by how many shards computed
-  it or how often it was interrupted.
-
-Chunk-boundary semantics come in two modes (``boundary=``):
-
-* ``"reset"`` — each chunk starts a *fresh* backend, first replaying
-  the events scripted before the chunk (so persistent state — failed
-  planes, reconfiguration settings — carries over), then stepping its
-  epoch range. In-flight flows admitted in the previous chunk do not
-  survive the boundary; this is the checkpoint granularity, exactly
-  like restarting a simulation from a checkpoint file, and it is why
-  ``chunk_epochs`` is part of the run's cache identity. Chunks are
-  mutually independent, so any shard can compute any chunk in any
-  order — the coordination-free story above.
-* ``"carry"`` — each chunk checkpoint also stores the end-of-chunk
-  backend ``snapshot()``, and chunk ``k`` *restores* chunk ``k-1``'s
-  snapshot instead of replaying pre-chunk events: in-flight flows,
-  wavelength occupancy, and RNG state all cross the boundary, so the
-  merged aggregates are **bit-identical to a monolithic**
-  :class:`~repro.scenarios.runner.ScenarioRunner` run at any chunk
-  size — and the boundary costs O(state) restore instead of the
-  reset mode's O(events x chunk index) replay. The price is
-  sequential dependence: chunks pipeline in index order through the
-  shared cache (a shard can only compute a chunk once its
-  predecessor's checkpoint exists), so carry mode trades reset
-  mode's any-chunk-anywhere sharding for exactness. Resume still
-  works chunk-by-chunk: an interrupted run picks up from the last
-  checkpointed snapshot.
-
-In both modes a single-chunk run is bit-identical to a monolithic
-per-epoch-seeded :class:`~repro.scenarios.runner.ScenarioRunner` run
-whose backend was seeded with :func:`chunk_backend_seed`.
+  backend, backend parameters, base seed), never by the chunk size,
+  the shard count, or how often it was interrupted.
 
 This module deliberately never imports ``repro.experiments`` (the
 dependency stays one-directional): the checkpoint store is duck-typed
@@ -66,7 +42,6 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 
 from repro.scenarios.backends import EpochReport, make_backend
@@ -75,13 +50,10 @@ from repro.scenarios.scenario import Scenario, derive_epoch_seed
 
 #: Bump when chunk-execution semantics change: invalidates every
 #: checkpointed chunk (the chunk analog of a spec's ``version``).
-#: v2: payloads carry the boundary mode (plus, in carry mode, the
-#: end-of-chunk backend snapshot) and ``events_replayed`` counts only
-#: events the backend actually applied.
-CHUNK_FORMAT = 2
-
-#: Chunk-boundary modes :class:`ShardedScenarioRunner` accepts.
-BOUNDARY_MODES = ("reset", "carry")
+#: v3: every chunk restores its predecessor's end-of-chunk snapshot;
+#: payloads always carry their own snapshot and no longer record a
+#: boundary mode or replayed-event count.
+CHUNK_FORMAT = 3
 
 
 def chunk_ranges(n_epochs: int,
@@ -102,11 +74,12 @@ def chunk_backend_seed(scenario: Scenario | str, start: int,
     constructs — a pure function of the chunk's identity, so any
     shard computing the chunk agrees.
 
-    The chunk at epoch 0 uses ``base_seed`` directly: a single-chunk
-    replay is then bit-identical to the monolithic per-epoch-seeded
+    The chunk at epoch 0 uses ``base_seed`` directly: a chunked
+    replay is then bit-identical to the monolithic
     :class:`~repro.scenarios.runner.ScenarioRunner` run with a
     ``seed=base_seed`` backend (what ``repro scenario`` without
-    ``--shards`` builds). Later chunks derive theirs counter-style.
+    ``--shards`` builds). Later chunks derive theirs counter-style;
+    the restored snapshot overrides the backend's RNG state.
     """
     if start == 0:
         return base_seed
@@ -144,52 +117,33 @@ class ChunkKey:
 
 def execute_chunk(scenario_config: dict, backend: str,
                   backend_params: dict, start: int, stop: int,
-                  base_seed: int, boundary: str = "reset",
-                  snapshot: dict | None = None) -> dict:
+                  base_seed: int, snapshot: dict | None = None) -> dict:
     """Run epochs ``[start, stop)``; return the JSON-stable checkpoint
-    payload (module-level so it pickles into worker processes).
+    payload.
 
-    In ``"reset"`` mode events scripted before ``start`` are replayed
-    on a fresh backend first, so persistent backend state (failed
-    planes, reconfiguration lag) matches the full run; only events the
-    backend actually *applies* count as replayed, and only events
-    firing inside the chunk count toward the applied/ignored totals,
-    so chunk sums equal the monolithic run's.
-
-    In ``"carry"`` mode the previous chunk's end-of-chunk ``snapshot``
-    is restored instead (nothing is replayed — in-flight flows,
-    occupancy, and RNG state arrive via the snapshot) and the payload
-    gains a ``"snapshot"`` key holding this chunk's own end state for
+    Every chunk after the first restores ``snapshot``, the previous
+    chunk's end-of-chunk backend state, before its first epoch. The
+    payload's ``"snapshot"`` key holds this chunk's own end state for
     the next chunk to restore.
     """
-    if boundary not in BOUNDARY_MODES:
-        raise ValueError(f"unknown boundary {boundary!r} "
-                         f"(known: {BOUNDARY_MODES})")
-    if boundary == "carry" and start > 0 and snapshot is None:
+    if start > 0 and snapshot is None:
         raise ValueError(
-            f"carry-mode chunk starting at epoch {start} needs the "
-            "previous chunk's snapshot")
+            f"chunk starting at epoch {start} needs the previous "
+            "chunk's snapshot")
     t0 = time.perf_counter()
     scenario = Scenario.from_config(scenario_config)
     fabric = make_backend(
         backend, scenario.n_nodes,
         seed=chunk_backend_seed(scenario, start, base_seed),
         **backend_params)
-    replayed = 0
-    if boundary == "carry":
-        if snapshot is not None:
-            try:
-                fabric.restore(snapshot)
-            except ValueError as exc:
-                raise ValueError(
-                    f"scenario {scenario.name!r} epochs "
-                    f"[{start}, {stop}): cannot restore the carried "
-                    f"snapshot: {exc}") from exc
-    else:
-        for epoch in range(start):
-            for event in scenario.events_at(epoch):
-                if fabric.apply_event(event):
-                    replayed += 1
+    if snapshot is not None:
+        try:
+            fabric.restore(snapshot)
+        except ValueError as exc:
+            raise ValueError(
+                f"scenario {scenario.name!r} epochs "
+                f"[{start}, {stop}): cannot restore the carried "
+                f"snapshot: {exc}") from exc
     applied = ignored = 0
     reports: list[EpochReport] = []
     for epoch in range(start, stop):
@@ -201,15 +155,11 @@ def execute_chunk(scenario_config: dict, backend: str,
         report = fabric.step(scenario.flow_batch_at(epoch, base_seed))
         report.epoch = epoch  # absolute, not chunk-relative
         reports.append(report)
-    end_state = fabric.snapshot() if boundary == "carry" else None
-    payload = {"start": start, "stop": stop, "boundary": boundary,
-               "events_applied": applied, "events_ignored": ignored,
-               "events_replayed": replayed,
-               "duration_s": time.perf_counter() - t0,
-               "epochs": [r.to_dict() for r in reports]}
-    if end_state is not None:
-        payload["snapshot"] = end_state
-    return payload
+    return {"start": start, "stop": stop,
+            "events_applied": applied, "events_ignored": ignored,
+            "duration_s": time.perf_counter() - t0,
+            "epochs": [r.to_dict() for r in reports],
+            "snapshot": fabric.snapshot()}
 
 
 @dataclass(frozen=True)
@@ -220,9 +170,9 @@ class ChunkStatus:
     start: int
     stop: int
     #: "cached" (loaded from a checkpoint), "computed" (ran here),
-    #: "pending" (owned by another shard and not yet checkpointed —
-    #: or, in carry mode, waiting on a predecessor chunk's snapshot),
-    #: or "failed" (raised here; ``error`` holds the message).
+    #: "pending" (owned by another shard, or waiting on a predecessor
+    #: chunk's snapshot, and not yet checkpointed), or "failed"
+    #: (raised here; ``error`` holds the message).
     state: str
     duration_s: float = 0.0
     error: str | None = None
@@ -237,7 +187,6 @@ class ShardedScenarioResult:
     chunk_epochs: int
     shards: int
     shard_index: int | None
-    boundary: str = "reset"
     chunks: list[ChunkStatus] = field(default_factory=list)
     payloads: dict[int, dict] = field(default_factory=dict)
     wall_s: float = 0.0
@@ -287,17 +236,9 @@ class ShardedScenarioResult:
         return merged
 
     def rows(self) -> list[dict]:
-        """Per-chunk status table (the shard progress view).
-
-        ``events_replayed`` surfaces the reset-mode boundary cost —
-        how many pre-chunk events each chunk re-applied to rebuild
-        persistent state (always 0 in carry mode, where state arrives
-        via the restored snapshot; blank for chunks without a payload).
-        """
+        """Per-chunk status table (the shard progress view)."""
         return [{"chunk": c.index, "epochs": f"[{c.start}, {c.stop})",
-                 "state": c.state, "duration_s": c.duration_s,
-                 "events_replayed": self.payloads.get(
-                     c.index, {}).get("events_replayed", "")}
+                 "state": c.state, "duration_s": c.duration_s}
                 for c in self.chunks]
 
     def summary(self) -> str:
@@ -305,8 +246,7 @@ class ShardedScenarioResult:
         where = ("all shards" if self.shard_index is None
                  else f"shard {self.shard_index}/{self.shards}")
         failed = f", {self.n_failed} FAILED" if self.n_failed else ""
-        return (f"{self.scenario} on {self.backend} "
-                f"[{self.boundary} boundaries]: "
+        return (f"{self.scenario} on {self.backend}: "
                 f"{len(self.chunks)} chunk(s) of {self.chunk_epochs} "
                 f"epoch(s) ({self.n_cached} cached, "
                 f"{self.n_computed} computed, {self.n_pending} pending"
@@ -329,28 +269,16 @@ class ShardedScenarioRunner:
         JSON-stable: they are part of every chunk's cache identity).
     chunk_epochs:
         Checkpoint granularity. 1440 = one day of 1-minute epochs.
-        Part of the run's identity: runs with different chunk sizes
-        have different (both valid) chunk-boundary semantics.
-    boundary:
-        Chunk-boundary mode (:data:`BOUNDARY_MODES`). ``"reset"``
-        (default) starts every chunk on a fresh backend with pre-chunk
-        events replayed — coordination-free, but in-flight flows are
-        dropped at boundaries. ``"carry"`` restores the previous
-        chunk's checkpointed backend snapshot, making the merged run
-        bit-identical to a monolithic one at the cost of sequential
-        chunk dependence (see the module docstring).
+        Part of each chunk's cache identity (a chunk is its epoch
+        range), never of the merged result.
     shards, shard_index:
         ``shard_index=None`` (default) drives every chunk from this
         process. An integer runs only the ``index % shards ==
-        shard_index`` slice, leaving the rest ``pending`` — launch one
-        process per index against a shared ``cache`` and any of them
-        (or a final ``shard_index=None`` pass with ``resume=True``)
-        can assemble the full report from the checkpoints. In carry
-        mode shards *pipeline*: a shard computes its chunks in index
-        order as predecessors' checkpoints appear in the shared cache,
-        so shard processes alternate (or simply re-run with
-        ``resume=True``) until the replay converges instead of each
-        owning an arbitrary slice up front.
+        shard_index`` slice, computing each owned chunk whose
+        predecessor's checkpoint already exists in the shared
+        ``cache`` and leaving the rest ``pending``; alternate the
+        shard processes (or finish with a ``shard_index=None`` pass
+        with ``resume=True``) until the replay converges.
     base_seed:
         Stirred into every per-epoch episode seed and every chunk's
         backend seed.
@@ -358,34 +286,23 @@ class ShardedScenarioRunner:
         Checkpoint store (duck-typed
         :class:`~repro.experiments.cache.ResultCache`); ``None``
         disables checkpointing (and therefore resume).
-    workers:
-        Process-pool width for this process's chunks; 1 runs inline.
-        Reset mode only — carry-mode chunks are sequentially
-        dependent and always run inline, in index order.
     """
 
     scenario: Scenario
     backend: str = "awgr"
     backend_params: dict = field(default_factory=dict)
     chunk_epochs: int = 1440
-    boundary: str = "reset"
     shards: int = 1
     shard_index: int | None = None
     base_seed: int = 0
     cache: object | None = None
-    workers: int = 1
 
     def __post_init__(self) -> None:
-        if self.boundary not in BOUNDARY_MODES:
-            raise ValueError(f"unknown boundary {self.boundary!r} "
-                             f"(known: {BOUNDARY_MODES})")
         if self.shards < 1:
             raise ValueError("shards must be >= 1")
         if (self.shard_index is not None
                 and not 0 <= self.shard_index < self.shards):
             raise ValueError("shard_index must be in [0, shards)")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
 
     # -- chunk identity --------------------------------------------------------
 
@@ -396,9 +313,7 @@ class ShardedScenarioRunner:
     def chunk_key(self, start: int, stop: int) -> ChunkKey:
         """Checkpoint identity of one chunk. Deliberately excludes
         ``shards``/``shard_index`` — any shard may reuse any other
-        shard's checkpoint. Includes ``boundary``: reset and carry
-        chunks have different semantics (and carry payloads hold
-        snapshots), so the modes never reuse each other's entries."""
+        shard's checkpoint."""
         return ChunkKey(
             spec_name=f"scenario-chunk-{self.scenario.name}",
             version=CHUNK_FORMAT,
@@ -406,9 +321,7 @@ class ShardedScenarioRunner:
                     "backend": self.backend,
                     "params": dict(self.backend_params),
                     "start": start, "stop": stop,
-                    "base_seed": self.base_seed,
-                    "boundary": self.boundary,
-                    "seeding": "per-epoch"},
+                    "base_seed": self.base_seed},
             seed=chunk_backend_seed(self.scenario, start,
                                     self.base_seed))
 
@@ -426,72 +339,18 @@ class ShardedScenarioRunner:
         multi-shard convergence path. ``resume=False`` recomputes this
         shard's chunks and refreshes their checkpoints in place.
 
-        Carry mode runs chunks inline in index order (each needs its
-        predecessor's snapshot); chunks whose predecessor state is not
-        available — owned by another shard and not yet checkpointed —
-        are left ``pending`` for a later pass to pick up.
-        """
-        if self.boundary == "carry":
-            return self._run_carry(resume)
-        t0 = time.perf_counter()
-        ranges = self.ranges()
-        result = ShardedScenarioResult(
-            scenario=self.scenario.name, backend=self.backend,
-            chunk_epochs=self.chunk_epochs, shards=self.shards,
-            shard_index=self.shard_index, boundary=self.boundary)
-        statuses: dict[int, ChunkStatus] = {}
-        todo: list[int] = []
-        for index, (start, stop) in enumerate(ranges):
-            hit = None
-            if self.cache is not None and resume:
-                hit = self.cache.load(self.chunk_key(start, stop))
-            if hit is not None:
-                result.payloads[index] = hit
-                statuses[index] = ChunkStatus(index, start, stop,
-                                              "cached")
-            elif self._owns(index):
-                todo.append(index)
-            else:
-                statuses[index] = ChunkStatus(index, start, stop,
-                                              "pending")
-
-        for index, payload, error in self._execute(ranges, todo):
-            start, stop = ranges[index]
-            if error is not None:
-                statuses[index] = ChunkStatus(index, start, stop,
-                                              "failed", error=error)
-                continue
-            if self.cache is not None:
-                self.cache.store(self.chunk_key(start, stop), payload)
-            result.payloads[index] = payload
-            statuses[index] = ChunkStatus(
-                index, start, stop, "computed",
-                duration_s=float(payload.get("duration_s", 0.0)))
-
-        result.chunks = [statuses[i] for i in sorted(statuses)]
-        result.wall_s = time.perf_counter() - t0
-        return result
-
-    def _run_carry(self, resume: bool) -> ShardedScenarioResult:
-        """Carry-mode execution: chunks pipeline in index order, each
-        restoring its predecessor's checkpointed snapshot.
-
-        The carried state forms a chain, so this never fans out over a
-        process pool: chunk ``k`` cannot start before chunk ``k-1``
-        finished. Sharding still composes — a shard computes its owned
-        chunks whenever the predecessor's checkpoint is already in the
-        shared cache and leaves the rest ``pending``; alternating
-        shard passes (or one ``shard_index=None`` resume) converge on
-        the full replay. A failed or unavailable chunk invalidates the
-        carried snapshot, so every later chunk without its own
-        checkpoint stays pending rather than continuing from wrong
-        state.
+        Chunks run inline in index order, each restoring its
+        predecessor's snapshot, and each is checkpointed the moment it
+        finishes, so an interrupt never loses a finished chunk. A
+        chunk whose predecessor state is unavailable — owned by
+        another shard and not yet checkpointed, or failed — stays
+        ``pending`` rather than continuing from wrong state.
         """
         t0 = time.perf_counter()
         result = ShardedScenarioResult(
             scenario=self.scenario.name, backend=self.backend,
             chunk_epochs=self.chunk_epochs, shards=self.shards,
-            shard_index=self.shard_index, boundary=self.boundary)
+            shard_index=self.shard_index)
         scenario_config = self.scenario.to_config()
         carried: dict | None = None
         for index, (start, stop) in enumerate(self.ranges()):
@@ -502,7 +361,7 @@ class ShardedScenarioRunner:
                 result.payloads[index] = hit
                 result.chunks.append(
                     ChunkStatus(index, start, stop, "cached"))
-                carried = hit.get("snapshot")
+                carried = hit["snapshot"]
                 continue
             if not self._owns(index) or (index > 0 and carried is None):
                 result.chunks.append(
@@ -513,8 +372,7 @@ class ShardedScenarioRunner:
                 payload = execute_chunk(
                     scenario_config, self.backend,
                     dict(self.backend_params), start, stop,
-                    self.base_seed, boundary="carry",
-                    snapshot=carried)
+                    self.base_seed, snapshot=carried)
             except Exception as exc:
                 result.chunks.append(ChunkStatus(
                     index, start, stop, "failed",
@@ -528,47 +386,7 @@ class ShardedScenarioRunner:
             result.payloads[index] = payload
             result.chunks.append(ChunkStatus(
                 index, start, stop, "computed",
-                duration_s=float(payload.get("duration_s", 0.0))))
+                duration_s=float(payload["duration_s"])))
             carried = payload["snapshot"]
         result.wall_s = time.perf_counter() - t0
         return result
-
-    def _execute(self, ranges, todo: list[int]):
-        """Yield ``(index, payload, error)`` per owned chunk, in
-        completion order under a pool, so the caller checkpoints each
-        chunk the moment it exists and an interrupt (or a chunk
-        failure) never loses finished chunks."""
-        scenario_config = self.scenario.to_config()
-
-        def args_for(index: int):
-            start, stop = ranges[index]
-            return (scenario_config, self.backend,
-                    dict(self.backend_params), start, stop,
-                    self.base_seed)
-
-        if self.workers == 1 or len(todo) <= 1:
-            for index in todo:
-                try:
-                    payload = execute_chunk(*args_for(index))
-                except Exception as exc:
-                    yield index, None, (
-                        f"chunk {index} of scenario "
-                        f"{self.scenario.name!r}: "
-                        f"{type(exc).__name__}: {exc}")
-                    continue
-                yield index, payload, None
-            return
-        with ProcessPoolExecutor(max_workers=self.workers) as pool:
-            futures = {pool.submit(execute_chunk, *args_for(i)): i
-                       for i in todo}
-            for future in as_completed(futures):
-                index = futures[future]
-                try:
-                    payload = future.result()
-                except Exception as exc:
-                    yield index, None, (
-                        f"chunk {index} of scenario "
-                        f"{self.scenario.name!r}: "
-                        f"{type(exc).__name__}: {exc}")
-                    continue
-                yield index, payload, None

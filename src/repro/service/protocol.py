@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import json
 
-from repro.scenarios.registry import available_backends
+from repro.scenarios.registry import available_backends, backend_info
 from repro.scenarios.scenario import EVENT_ACTIONS, ScenarioEvent
 from repro.service.sessions import Session
 
@@ -111,6 +111,14 @@ def parse_submit(body: dict) -> dict:
     params = body.get("backend_params", {})
     if not isinstance(params, dict):
         raise ProtocolError("backend_params must be an object")
+    accepted = backend_info(backend).param_names()
+    unknown_params = set(params) - set(accepted)
+    if unknown_params:
+        # Same boundary rule: an unknown constructor keyword would
+        # otherwise surface as a TypeError inside the worker.
+        raise ProtocolError(
+            f"unknown backend_params for {backend!r}: "
+            f"{sorted(unknown_params)} (accepted: {list(accepted)})")
     kwargs = {
         "scenario": scenario,
         "backend": backend,

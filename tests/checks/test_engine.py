@@ -152,33 +152,6 @@ class TestReports:
             check_source("x = 1\n", "x.py", rules=["NOPE"])
 
 
-class TestParallelJobs:
-    def test_jobs_match_serial_results(self, tmp_path):
-        (tmp_path / "a.py").write_text(BAD_DEFAULT)
-        (tmp_path / "b.py").write_text(
-            "import threading\n\n"
-            "class Box:\n"
-            "    def __init__(self):\n"
-            "        self._box_lock = threading.Lock()\n"
-            "        self.items_held = 0\n\n"
-            "    def put(self):\n"
-            "        with self._box_lock:\n"
-            "            self.items_held += 1\n\n"
-            "    def wipe(self):\n"
-            "        self.items_held = 0\n")
-        (tmp_path / "c.py").write_text("x = 1\n")
-        serial = run_checks([tmp_path], jobs=1)
-        parallel = run_checks([tmp_path], jobs=3)
-        assert ([f.fingerprint for f in serial.findings]
-                == [f.fingerprint for f in parallel.findings])
-        assert serial.findings  # the fixture tree is not trivially empty
-        assert serial.files == parallel.files == 3
-
-    def test_jobs_must_be_positive(self, tmp_path):
-        with pytest.raises(ValueError):
-            run_checks([tmp_path], jobs=0)
-
-
 class TestStrictSuppressions:
     def test_stale_directive_reported(self):
         source = "def f(x):  # repro-check: disable=PY001\n    return x\n"

@@ -1,6 +1,6 @@
 """Sharded scenario execution: per-epoch seed invariance, chunked
-equivalence, checkpointing, interrupt + resume, and carry-mode
-(snapshot-carried) chunk boundaries."""
+equivalence, checkpointing, interrupt + resume, and snapshot-carried
+chunk boundaries."""
 
 import pytest
 
@@ -21,6 +21,7 @@ from repro.scenarios import (
     execute_chunk,
     make_backend,
 )
+from repro.scenarios.sharding import CHUNK_FORMAT
 
 
 def small_scenario(n_epochs=6):
@@ -90,16 +91,6 @@ class TestShardInvariance:
         scenario.batch_at(2, base_seed=9)
         assert scenario.batch_at(4, base_seed=9) == later
 
-    def test_sequential_mode_is_order_dependent(self):
-        # The compatibility mode deliberately keeps the historical
-        # behavior: one generator threads through the epochs, so
-        # suffixes are NOT independent of the prefix.
-        scenario = small_scenario()
-        full = scenario.batches(3)
-        from repro.network.traffic import as_generator
-        alone = scenario.batch(4, as_generator(3))
-        assert alone != full[4]
-
     def test_range_validation(self):
         with pytest.raises(ValueError):
             small_scenario(4).batches_range(2, 6)
@@ -162,19 +153,10 @@ class TestChunkedEquivalence:
                 == single.report().as_dict())
         assert assembled.report().rows() == single.report().rows()
 
-    def test_pool_workers_match_inline(self):
-        scenario = small_scenario()
-        inline = ShardedScenarioRunner(
-            scenario, "awgr", chunk_epochs=2, base_seed=1).run()
-        pooled = ShardedScenarioRunner(
-            scenario, "awgr", chunk_epochs=2, base_seed=1,
-            workers=2).run()
-        assert pooled.report().as_dict() == inline.report().as_dict()
-
     def test_event_totals_match_monolithic(self):
         # fail at 1 / repair at 4 land in different chunks; the
-        # repair chunk replays the failure for state but must not
-        # recount it.
+        # failure reaches the repair chunk through the carried
+        # snapshot and must not be recounted there.
         scenario = small_scenario()
         sharded = ShardedScenarioRunner(
             scenario, "awgr", chunk_epochs=2, base_seed=0).run()
@@ -192,18 +174,19 @@ class TestInterruptResume:
         cache = ResultCache(tmp_path)
         kwargs = dict(chunk_epochs=2, shards=2, base_seed=4,
                       cache=cache)
-        # "Interrupt": only shard 0 ever ran before the crash.
+        # "Interrupt": only shard 0 ever ran before the crash. It owns
+        # chunks 0 and 2 but chunk 2 waits on chunk 1's snapshot.
         first = ShardedScenarioRunner(
             scenario, "awgr", shard_index=0, **kwargs).run()
-        assert first.n_computed == 2 and first.n_pending == 1
+        assert first.n_computed == 1 and first.n_pending == 2
         assert not first.complete
         with pytest.raises(RuntimeError, match="incomplete"):
             first.report()
-        # Resume from the checkpoints: shard 0's chunks load, only
-        # the missing chunk is computed.
+        # Resume from the checkpoints: chunk 0 loads, only the
+        # missing chunks are computed.
         resumed = ShardedScenarioRunner(
             scenario, "awgr", **kwargs).run(resume=True)
-        assert resumed.n_cached == 2 and resumed.n_computed == 1
+        assert resumed.n_cached == 1 and resumed.n_computed == 2
         fresh = ShardedScenarioRunner(
             scenario, "awgr", chunk_epochs=2, base_seed=4).run()
         assert resumed.report().as_dict() == fresh.report().as_dict()
@@ -247,8 +230,8 @@ def sustained_scenario(n_epochs=9):
     """Capacity-bound load whose in-flight flows cross boundaries.
 
     The 125 Gbps hotspot flows occupy 5 sub-slots for 2 epochs each,
-    so a reset boundary (which drops them) visibly changes the next
-    chunk's admission — the probe that separates carry from reset.
+    so they are still resident when a chunk ends and the next chunk
+    must inherit them through the carried snapshot.
     """
     return Scenario(
         name="sustained", n_nodes=10, n_epochs=n_epochs,
@@ -264,8 +247,47 @@ def sustained_scenario(n_epochs=9):
         ))
 
 
+def flapping_plane_scenario(n_epochs=48, n_nodes=12):
+    """Capacity-bound load plus an event-dense failure script.
+
+    The hotspot's 125 Gbps flows need 5 sub-slots each — one whole
+    plane of the pair's direct budget — and the AWGR backend's default
+    ``duration_slots=2`` keeps them resident across epochs, so the
+    flows in flight at a chunk boundary change admission (blocking
+    and indirection) in the next chunk. Plane 0 flaps (fail, repair
+    two epochs later, every four epochs), so boundaries also land
+    mid-failure.
+    """
+    events = []
+    for epoch in range(0, n_epochs, 4):
+        events.append(ScenarioEvent(epoch=epoch, action="fail_plane",
+                                    value=0))
+        if epoch + 2 < n_epochs:
+            events.append(ScenarioEvent(epoch=epoch + 2,
+                                        action="repair_plane", value=0))
+    return Scenario(
+        name="flapping_plane", n_nodes=n_nodes, n_epochs=n_epochs,
+        episodes=(
+            Episode(kind="uniform",
+                    flows={"dist": "poisson", "mean": 16}, gbps=25.0),
+            Episode(kind="hotspot", flows=8, gbps=125.0,
+                    params={"hotspot": 0}),
+        ),
+        events=tuple(events))
+
+
+def in_flight_flows(payload: dict) -> int:
+    """Flows still resident in an AWGR chunk's end-of-chunk snapshot
+    (the simulator's expiry buckets: per-flow entries plus batched
+    direct admissions)."""
+    buckets = payload["snapshot"]["sim"]["buckets"].values()
+    return sum(len(bucket["entries"])
+               + sum(len(batch["flow"]) for batch in bucket["batches"])
+               for bucket in buckets)
+
+
 class TestCarryBoundaries:
-    """Tentpole acceptance: carry-mode chunked replays are bit-exact."""
+    """Chunked replays carry backend state and are bit-exact."""
 
     def test_carry_matches_monolithic_all_scenarios_and_backends(self):
         # The full acceptance matrix: every registered scenario x
@@ -280,35 +302,42 @@ class TestCarryBoundaries:
                 ).run(seed=3)
                 merged = ShardedScenarioRunner(
                     trimmed, backend, chunk_epochs=3,
-                    boundary="carry", base_seed=3).run().report()
+                    base_seed=3).run().report()
                 assert merged.as_dict() == mono.as_dict(), \
                     (scenario.name, backend)
                 assert merged.rows() == mono.rows(), \
                     (scenario.name, backend)
 
     def test_carry_exact_where_reset_drifts(self):
-        # The bug this PR fixes: under sustained load, reset-mode
-        # boundaries drop in-flight flows and the merged aggregates
-        # drift from the monolithic run; carry mode must not.
-        scenario = sustained_scenario()
-        mono = ScenarioRunner(
-            scenario, make_backend("awgr", scenario.n_nodes, seed=0),
-        ).run(seed=0).as_dict()
-        carry = ShardedScenarioRunner(
-            scenario, "awgr", chunk_epochs=3,
-            boundary="carry", base_seed=0).run().report().as_dict()
-        reset = ShardedScenarioRunner(
-            scenario, "awgr", chunk_epochs=3,
-            boundary="reset", base_seed=0).run().report().as_dict()
-        assert carry == mono
-        assert reset != mono  # the drift carry mode exists to remove
+        # Under sustained load flows are still in flight when a chunk
+        # ends; a boundary that dropped them (a fresh backend per
+        # chunk) would drift from the monolithic run. The carried
+        # snapshots must hold such flows — otherwise these probes
+        # would not exercise the boundary at all — and the merge must
+        # still match the monolithic run bit for bit.
+        for scenario, chunk_epochs, seed in (
+                (sustained_scenario(), 3, 0),
+                (flapping_plane_scenario(), 8, 13)):
+            mono = ScenarioRunner(
+                scenario, make_backend("awgr", scenario.n_nodes,
+                                       seed=seed)).run(seed=seed)
+            result = ShardedScenarioRunner(
+                scenario, "awgr", chunk_epochs=chunk_epochs,
+                base_seed=seed).run()
+            carried = [result.payloads[c.index]
+                       for c in result.chunks[:-1]]
+            assert any(in_flight_flows(p) for p in carried), \
+                scenario.name
+            merged = result.report()
+            assert merged.as_dict() == mono.as_dict(), scenario.name
+            assert merged.rows() == mono.rows(), scenario.name
 
     def test_carry_chunk_size_invariance(self):
         scenario = sustained_scenario()
         reports = [
             ShardedScenarioRunner(
                 scenario, "awgr", chunk_epochs=chunk,
-                boundary="carry", base_seed=5).run().report().as_dict()
+                base_seed=5).run().report().as_dict()
             for chunk in (1, 2, 4, scenario.n_epochs)]
         assert all(r == reports[0] for r in reports[1:])
 
@@ -319,8 +348,7 @@ class TestCarryBoundaries:
         # converge on the full replay, bit-identical to monolithic.
         scenario = sustained_scenario()
         cache = ResultCache(tmp_path)
-        kwargs = dict(chunk_epochs=2, boundary="carry", base_seed=1,
-                      cache=cache)
+        kwargs = dict(chunk_epochs=2, base_seed=1, cache=cache)
         first = ShardedScenarioRunner(scenario, "awgr", shards=2,
                                       shard_index=0, **kwargs).run()
         # Owns chunks 0, 2, 4 but can only run chunk 0: chunk 1's
@@ -349,8 +377,7 @@ class TestCarryBoundaries:
         # match an uninterrupted carry run.
         scenario = sustained_scenario()
         cache = ResultCache(tmp_path)
-        kwargs = dict(chunk_epochs=4, boundary="carry", base_seed=2,
-                      cache=cache)
+        kwargs = dict(chunk_epochs=4, base_seed=2, cache=cache)
         partial = ShardedScenarioRunner(scenario, "awgr", shards=3,
                                         shard_index=0, **kwargs).run()
         assert partial.n_computed == 1 and not partial.complete
@@ -359,21 +386,20 @@ class TestCarryBoundaries:
         assert resumed.n_cached == 1
         assert resumed.n_computed == len(resumed.chunks) - 1
         uninterrupted = ShardedScenarioRunner(
-            scenario, "awgr", chunk_epochs=4, boundary="carry",
-            base_seed=2).run()
+            scenario, "awgr", chunk_epochs=4, base_seed=2).run()
         assert (resumed.report().as_dict()
                 == uninterrupted.report().as_dict())
 
-    def test_carry_and_reset_checkpoints_never_mix(self, tmp_path):
-        scenario = sustained_scenario()
-        cache = ResultCache(tmp_path)
-        ShardedScenarioRunner(scenario, "awgr", chunk_epochs=3,
-                              boundary="carry", base_seed=0,
-                              cache=cache).run()
-        reset = ShardedScenarioRunner(scenario, "awgr", chunk_epochs=3,
-                                      boundary="reset", base_seed=0,
-                                      cache=cache).run(resume=True)
-        assert reset.n_cached == 0  # no cross-mode reuse
+    def test_chunk_key_names_only_the_chunk_identity(self):
+        # Format 3 dropped the boundary and seeding fields: checkpoints
+        # written under the older formats (whose default boundary
+        # dropped in-flight flows) can never load as carried chunks.
+        key = ShardedScenarioRunner(
+            sustained_scenario(), "awgr", chunk_epochs=3,
+            base_seed=0).chunk_key(3, 6)
+        assert key.version == CHUNK_FORMAT == 3
+        assert set(key.config) == {"scenario", "backend", "params",
+                                   "start", "stop", "base_seed"}
 
     def test_carry_failed_chunk_blocks_successors(self):
         # Failing the last WSS switch raises at epoch 1, inside chunk
@@ -382,7 +408,7 @@ class TestCarryBoundaries:
         scenario = small_scenario()
         result = ShardedScenarioRunner(
             scenario, "wss", backend_params={"n_switches": 1},
-            chunk_epochs=2, boundary="carry", base_seed=0).run()
+            chunk_epochs=2, base_seed=0).run()
         states = [c.state for c in result.chunks]
         assert states[0] == "failed"
         assert all(s == "pending" for s in states[1:])
@@ -392,45 +418,7 @@ class TestCarryBoundaries:
         scenario = small_scenario()
         with pytest.raises(ValueError, match="snapshot"):
             execute_chunk(scenario.to_config(), "awgr", {}, 2, 4,
-                          base_seed=0, boundary="carry")
-
-    def test_unknown_boundary_rejected(self):
-        with pytest.raises(ValueError, match="boundary"):
-            ShardedScenarioRunner(small_scenario(), boundary="merge")
-        with pytest.raises(ValueError, match="boundary"):
-            execute_chunk(small_scenario().to_config(), "awgr", {},
-                          0, 2, base_seed=0, boundary="merge")
-
-
-class TestEventsReplayed:
-    """Satellite: replay counters count *applied* events only."""
-
-    def test_ignored_events_do_not_count_as_replayed(self):
-        # The electronic backend supports no events: replaying the
-        # pre-chunk script applies nothing, so events_replayed must be
-        # 0 (the old code counted every scripted event).
-        scenario = small_scenario()
-        payload = execute_chunk(scenario.to_config(), "electronic",
-                                {}, 4, 6, base_seed=0)
-        assert payload["events_replayed"] == 0
-        # The AWGR backend applies both the failure and the repair.
-        payload = execute_chunk(scenario.to_config(), "awgr", {},
-                                5, 6, base_seed=0)
-        assert payload["events_replayed"] == 2
-
-    def test_rows_surface_replay_cost(self):
-        scenario = small_scenario()
-        result = ShardedScenarioRunner(scenario, "awgr",
-                                       chunk_epochs=2,
-                                       base_seed=0).run()
-        rows = result.rows()
-        # fail_plane@1 precedes chunks 1 and 2; repair_plane@4 fires
-        # *inside* chunk 2, so it is applied there, not replayed.
-        assert [r["events_replayed"] for r in rows] == [0, 1, 1]
-        carry_rows = ShardedScenarioRunner(
-            scenario, "awgr", chunk_epochs=2, boundary="carry",
-            base_seed=0).run().rows()
-        assert [r["events_replayed"] for r in carry_rows] == [0, 0, 0]
+                          base_seed=0)
 
 
 class TestValidation:
@@ -438,10 +426,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             ShardedScenarioRunner(small_scenario(), shards=2,
                                   shard_index=2)
-
-    def test_workers_positive(self):
-        with pytest.raises(ValueError):
-            ShardedScenarioRunner(small_scenario(), workers=0)
 
 
 class TestErrorContext:
@@ -457,8 +441,7 @@ class TestErrorContext:
         foreign = make_backend("awgr", 4, seed=0).snapshot()
         with pytest.raises(ValueError) as excinfo:
             execute_chunk(scenario.to_config(), "awgr", {}, 2, 4,
-                          base_seed=0, boundary="carry",
-                          snapshot=foreign)
+                          base_seed=0, snapshot=foreign)
         message = str(excinfo.value)
         assert "scenario 'shardable'" in message
         assert "epochs [2, 4)" in message
@@ -484,14 +467,6 @@ class TestErrorContext:
         # Failing the only WSS switch raises inside the backend; the
         # recorded error must locate the chunk, not just repeat the
         # exception text.
-        result = ShardedScenarioRunner(
-            small_scenario(), "wss", backend_params={"n_switches": 1},
-            chunk_epochs=2, boundary="carry", base_seed=0).run()
-        failed = [c for c in result.chunks if c.state == "failed"]
-        assert failed[0].error.startswith(
-            f"chunk {failed[0].index} of scenario 'shardable': ")
-
-    def test_reset_chunk_error_names_chunk_and_scenario(self):
         result = ShardedScenarioRunner(
             small_scenario(), "wss", backend_params={"n_switches": 1},
             chunk_epochs=2, base_seed=0).run()

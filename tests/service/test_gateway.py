@@ -156,6 +156,19 @@ class TestErrors:
         assert "quantum" in str(err.value)
         assert "awgr" in str(err.value)
 
+    def test_unknown_backend_params_400(self, service):
+        """A constructor keyword the backend does not take bounces at
+        the boundary with the accepted names; no session is created,
+        so no worker ever meets the TypeError."""
+        client, _ = service
+        with pytest.raises(ServiceError) as err:
+            client.submit("demo", backend="awgr",
+                          backend_params={"bogus": 1})
+        assert err.value.status == 400
+        assert "bogus" in str(err.value)
+        assert "planes" in str(err.value)  # an accepted name
+        assert client.sessions() == []
+
     def test_registry_backend_session(self, service):
         """A registry-only contender (no hand-written service shim)
         runs to completion over the wire."""
