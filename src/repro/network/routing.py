@@ -10,8 +10,10 @@ in a Valiant fashion, per flow (to keep packets of one flow in order).
 
 When stale state misleads the source and the chosen intermediate's
 onward wavelength is actually busy, the intermediate re-routes through
-a *second* intermediate (the paper's fallback), which we model with a
-bounded recursion.
+a *second* intermediate (the paper's fallback). The walk has exactly
+two levels: the source's Valiant choice, then one fallback per
+mispredicted intermediate; a second intermediate whose onward hop is
+also busy is abandoned, never routed further.
 """
 
 from __future__ import annotations
@@ -94,15 +96,10 @@ class IndirectRouter:
     state:
         Piggybacked-view model; when ``None`` the router consults the
         allocator directly (perfect information).
-    max_fallback_depth:
-        How many times an intermediate may itself route indirectly
-        before the flow is blocked (1 reproduces the paper's
-        second-intermediate fallback).
     """
 
     allocator: WavelengthAllocator
     state: PiggybackState | None = None
-    max_fallback_depth: int = 1
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
@@ -122,11 +119,11 @@ class IndirectRouter:
         """
         if src == dst:
             raise ValueError("source equals destination")
-        code, path, reservations, stale = self._route_core(
-            src, dst, slots, depth=0)
+        code, path, reservations = self._route_core(src, dst, slots)
         decision = RouteDecision(
             kind=_KIND_BY_CODE[code], path=path,
-            reservations=reservations, used_stale_fallback=stale)
+            reservations=reservations,
+            used_stale_fallback=code == DOUBLE_INDIRECT)
         self.stats[decision.kind] += 1
         return decision
 
@@ -144,8 +141,7 @@ class IndirectRouter:
         """
         if src == dst:
             raise ValueError("source equals destination")
-        code, path, reservations, _ = self._route_core(
-            src, dst, slots, depth=0)
+        code, path, reservations = self._route_core(src, dst, slots)
         self.stats[_KIND_BY_CODE[code]] += 1
         return code, max(0, len(path) - 1), reservations
 
@@ -185,96 +181,120 @@ class IndirectRouter:
         exact occupancy; the second hop (mid -> dst) uses the
         piggybacked board when one exists.
         """
-        first_free = self.allocator.free_slots_from(src) >= slots
-        if self.state is None:
-            second_free = self.allocator.free_slots_to(dst) >= slots
-        else:
-            board = self.state.board_of(src)
-            total = (self.allocator.planes
-                     * self.allocator.flows_per_wavelength)
-            second_free = board.view[:, dst] + slots <= total
-        ok = first_free & second_free
-        ok[src] = False
-        ok[dst] = False
-        return np.nonzero(ok)[0]
+        onward = self.allocator.free_slots_to(dst) >= slots
+        return np.flatnonzero(
+            self._candidate_rows([src], dst, slots, onward)[0])
 
     # -- internals ----------------------------------------------------------------
 
-    def _route_core(self, src: int, dst: int, slots: int, depth: int
-                    ) -> tuple[int, tuple[int, ...], tuple, bool]:
-        """One flow's routing as plain data: (code, path, reservations,
-        used_stale_fallback).
+    def _route_core(self, src: int, dst: int, slots: int
+                    ) -> tuple[int, tuple[int, ...], tuple]:
+        """One flow's routing as plain data: (code, path, reservations).
 
-        The candidate walk is vectorized: after the Valiant shuffle,
-        ground-truth second-hop availability is evaluated for *every*
-        candidate in one array comparison, so the chosen intermediate
-        is found with a single scan instead of per-candidate
-        ``has_capacity`` calls. Only the mispredicted prefix —
-        candidates the (stale) local view endorsed whose onward hop is
-        actually busy — is walked one by one, because each triggers
-        the paper's §IV-A fallback recursion.
+        The walk has two levels. The source shuffles its Valiant
+        candidates and takes the first whose onward hop is really
+        free; every candidate before it was endorsed by the (stale)
+        local view but is actually busy onward, so the flow reaches
+        that intermediate, which runs the §IV-A fallback: it shuffles
+        its *own* candidates toward ``dst`` and takes the first whose
+        onward hop is really free. The first fallback that succeeds
+        carries the flow over two intermediates.
 
-        The one-shot scan is exact because nothing that happens during
-        the walk can change column ``dst`` of the occupancy before a
-        later candidate is considered: first-hop (src, mid)
-        allocations never touch it (mid != dst), and a fallback
-        recursion either succeeds (we return immediately) or releases
-        everything it allocated, leaving occupancy bit-identical to
-        the walk's start.
+        Nothing is allocated before a route is known to succeed, so
+        the whole walk reads one fixed occupancy: ground-truth onward
+        availability (column ``dst``) is evaluated once per flow, and
+        the candidate masks of all mispredicted intermediates are read
+        in one vectorized pass before their fallbacks run in turn.
+        This replays a walk that reserves every hop as it tries it
+        (and releases it on failure) exactly:
+
+        * A fallback from ``mid`` reads only row ``mid`` (its first
+          hops), ``mid``'s piggybacked board and column ``dst``. None
+          of these contains the source's first hop ``(src, mid)``, so
+          reserving that hop only once the fallback succeeds leaves
+          every decision, plane choice and RNG draw unchanged.
+        * A mispredicted *second* intermediate ends its branch of the
+          walk: trying it and giving it up again would leave occupancy
+          as it was and draws no RNG, so it only counts as a stale
+          misprediction.
+        * ``mid``'s direct wavelength toward ``dst`` is busy by
+          definition of a misprediction, so a fallback goes straight to
+          its candidate scan.
+
+        First hops need no check either: candidates come from
+        ``free_slots_from(src) >= slots`` on the same occupancy.
         """
         # 1. Direct wavelength.
         if self.allocator.has_capacity(src, dst, slots):
-            planes = self.allocator.allocate(src, dst, slots)
-            return (DIRECT if depth == 0 else DOUBLE_INDIRECT,
-                    (src, dst), ((src, dst, tuple(planes)),), depth > 0)
+            return DIRECT, (src, dst), (self._reserve(src, dst, slots),)
 
         # 2. Valiant intermediate per the (possibly stale) local view.
-        candidates = self.candidate_intermediates(src, dst, slots)
-        self._rng.shuffle(candidates)
-        if len(candidates):
-            onward_free = (self.allocator.free_slots_to(dst)[candidates]
-                           >= slots)
-            free = np.flatnonzero(onward_free)
-            mispredicted = int(free[0]) if free.size else len(candidates)
-            for i in range(mispredicted):
-                mid = int(candidates[i])
-                if not self.allocator.has_capacity(src, mid, slots):
-                    # Stale view lied about our own first hop (cannot
-                    # really happen with per-source truth, but kept
-                    # for safety).
-                    continue
-                first = self.allocator.allocate(src, mid, slots)
-                # Stale information: the onward hop is actually busy.
-                # The intermediate performs its own indirect routing
-                # (§IV-A).
+        onward = self.allocator.free_slots_to(dst) >= slots
+        candidates, first = self._valiant_pick(
+            self._candidate_rows([src], dst, slots, onward)[0], onward)
+        if first:
+            # Stale information: these intermediates' onward hops are
+            # actually busy, so each in turn performs its own indirect
+            # routing (§IV-A) until one succeeds.
+            mids = candidates[:first]
+            rows = self._candidate_rows(mids, dst, slots, onward)
+            for mid, row in zip(mids.tolist(), rows):
                 self.stale_mispredictions += 1
-                if depth < self.max_fallback_depth:
-                    code, path, reservations, _ = self._route_core(
-                        mid, dst, slots, depth + 1)
-                    if code != BLOCKED:
-                        return (DOUBLE_INDIRECT, (src,) + path,
-                                ((src, mid, tuple(first)),)
-                                + reservations, True)
-                self.allocator.release(src, mid, first)
-            if mispredicted < len(candidates):
-                mid = int(candidates[mispredicted])
-                first = self.allocator.allocate(src, mid, slots)
-                second = self.allocator.allocate(mid, dst, slots)
-                return (INDIRECT if depth == 0 else DOUBLE_INDIRECT,
-                        (src, mid, dst),
-                        ((src, mid, tuple(first)),
-                         (mid, dst, tuple(second))), depth > 0)
+                seconds, second = self._valiant_pick(row, onward)
+                self.stale_mispredictions += second
+                if second < len(seconds):
+                    mid2 = int(seconds[second])
+                    return (DOUBLE_INDIRECT, (src, mid, mid2, dst),
+                            (self._reserve(src, mid, slots),
+                             self._reserve(mid, mid2, slots),
+                             self._reserve(mid2, dst, slots)))
+        if first < len(candidates):
+            mid = int(candidates[first])
+            return (INDIRECT, (src, mid, dst),
+                    (self._reserve(src, mid, slots),
+                     self._reserve(mid, dst, slots)))
 
-        return (BLOCKED, (src,), (), False)
+        return BLOCKED, (src,), ()
 
-    def _believed_free(self, viewer: int, a: int, b: int, slots: int) -> bool:
-        """Does ``viewer`` believe (a -> b) has capacity?
+    def _candidate_rows(self, viewers: list[int] | np.ndarray, dst: int,
+                        slots: int, onward: np.ndarray) -> np.ndarray:
+        """(len(viewers), n_nodes) mask; row ``i`` marks the
+        intermediates that look free on both hops toward ``dst`` per
+        ``viewers[i]``'s view.
 
-        A source always knows its *own* occupancy exactly; other
-        sources' occupancy comes from the piggybacked board.
+        The first hop uses each viewer's exact occupancy row. The
+        second hop uses the viewer's piggybacked board, or ``onward``
+        (the ground-truth ``free_slots_to(dst) >= slots`` mask) under
+        perfect information.
         """
-        if a == b:
-            return False
-        if self.state is None or a == viewer:
-            return self.allocator.has_capacity(a, b, slots)
-        return self.state.board_of(viewer).believed_free(a, b, slots)
+        alloc = self.allocator
+        total = alloc.healthy_planes * alloc.flows_per_wavelength
+        ok = alloc.slot_bitmaps(viewers) <= total - slots
+        if self.state is None:
+            ok &= onward
+        else:
+            # Boards count every plane: a view cannot know of failures.
+            board_total = alloc.planes * alloc.flows_per_wavelength
+            for row, viewer in zip(ok, viewers):
+                row &= (self.state.board_of(int(viewer)).view[:, dst]
+                        <= board_total - slots)
+        ok[np.arange(len(ok)), viewers] = False
+        ok[:, dst] = False
+        return ok
+
+    def _valiant_pick(self, mask: np.ndarray, onward: np.ndarray
+                      ) -> tuple[np.ndarray, int]:
+        """Shuffle the candidates in ``mask``; return them with the
+        index of the first whose onward hop is really free (``len``
+        when none). The candidates before that index are the
+        mispredicted ones.
+        """
+        candidates = mask.nonzero()[0]
+        self._rng.shuffle(candidates)
+        free = onward[candidates].nonzero()[0]
+        return candidates, int(free[0]) if free.size else len(candidates)
+
+    def _reserve(self, a: int, b: int, slots: int
+                 ) -> tuple[int, int, tuple[int, ...]]:
+        """Allocate ``slots`` on ``(a, b)``; the reservation tuple."""
+        return a, b, tuple(self.allocator.allocate(a, b, slots))

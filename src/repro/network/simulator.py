@@ -17,15 +17,18 @@ Two admission paths share one set of semantics:
 * the **scalar** path (:meth:`AWGRNetworkSimulator.offer`) admits one
   flow at a time — the reference implementation;
 * the **batched** path (:meth:`AWGRNetworkSimulator.offer_batch`)
-  vectorizes a whole slot's arrivals: it bulk-admits the maximal
-  prefix of direct-capable flows with one grouped capacity scan and
-  one scatter allocation, routes the first non-direct flow through
-  the router's object-free ``route_tokens`` fallback (itself a
-  vectorized candidate scan), then rescans. Because direct admissions
-  touch only their own (src, dst) wavelengths, the prefix scan is an
-  exact replay of sequential admission, so both paths produce
-  bit-identical :class:`SimulationReport` aggregates (and identical
-  occupancy, RNG consumption, and piggyback state) for seeded runs.
+  vectorizes a whole slot's arrivals. It groups the batch by
+  (src, dst) pair once and compares every flow's inclusive per-pair
+  demand with its pair's free sub-slots; each run of flows that fits
+  is admitted with one scatter allocation, and each flow that does
+  not is routed through the router's object-free ``route_tokens``
+  fallback. An overflow flow changes only the budgets of the pairs it
+  touched (its own, and those its reservations landed on), so only
+  their later flows are re-evaluated. Direct admissions touch only
+  their own pair's wavelengths, so this replays sequential admission
+  exactly: both paths produce bit-identical
+  :class:`SimulationReport` aggregates (and identical occupancy, RNG
+  consumption, and piggyback state) for seeded runs.
   The batched path consumes :class:`~repro.network.traffic.FlowBatch`
   arrays directly and stores every admitted flow as sub-slot tokens,
   so a whole epoch runs without materializing a single ``Flow`` or
@@ -34,7 +37,10 @@ Two admission paths share one set of semantics:
 
 from __future__ import annotations
 
+import heapq
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -50,6 +56,14 @@ from repro.network.routing import (
 from repro.network.state import PiggybackState
 from repro.network.traffic import Flow, FlowBatch
 from repro.network.wavelength import WavelengthAllocator
+
+
+def _group_starts(sorted_pid: np.ndarray) -> np.ndarray:
+    """Start index of each run of equal pair ids in ``sorted_pid``."""
+    new_group = np.empty(len(sorted_pid), dtype=bool)
+    new_group[0] = True
+    np.not_equal(sorted_pid[1:], sorted_pid[:-1], out=new_group[1:])
+    return np.flatnonzero(new_group)
 
 
 def sequential_sum(start: float, values: np.ndarray) -> float:
@@ -322,18 +336,20 @@ class AWGRNetworkSimulator:
 
         Accepts a :class:`FlowBatch` natively (the object-free form
         the generators emit); ``list[Flow]`` inputs are converted at
-        the boundary. Sequential admission is replayed exactly: flows
-        are scanned in order, the maximal prefix that fits its direct
-        wavelengths (per-pair grouped cumulative demand against the
-        free-slot counts) is bulk-admitted with one scatter
-        allocation, the first non-direct flow is routed through the
+        the boundary. Sequential admission is replayed exactly. The
+        batch is grouped by pair once (one stable argsort): a flow
+        goes direct iff its inclusive per-pair demand is within its
+        pair's budget, the pair's free sub-slots at batch start. Each
+        run of fitting flows is bulk-admitted with one scatter
+        allocation, and the flow that ends it is routed through the
         :meth:`IndirectRouter.route_tokens` fallback (same allocator
-        mutations and RNG consumption as the scalar router, one
-        vectorized candidate scan per overflow flow), and the scan
-        resumes after it. Direct admissions only consume their own
-        pair's capacity, so the prefix check is exact; indirect
-        reservations can touch any pair, which is why the scan stops
-        and recomputes at each residual flow.
+        mutations and RNG consumption as the scalar router). That flow
+        returns its demand to its own pair's budget, and each of its
+        reservations on a pair present in the batch takes the
+        reserved sub-slots out of that pair's budget; only the later
+        flows of those pairs are re-evaluated before the scan resumes.
+        When the whole batch fits (the uniform-load hot case) the
+        grouping is reused for the allocation.
 
         Every admitted flow — direct or indirect — lives on as rows
         of a :class:`_DirectBatch` token store, so expiry and plane
@@ -342,8 +358,8 @@ class AWGRNetworkSimulator:
         """
         batch = FlowBatch.from_flows(flows)
         n = len(batch)
-        kinds = np.empty(n, dtype=np.uint8)
-        hops = np.zeros(n, dtype=np.int64)
+        kinds = np.full(n, DIRECT, dtype=np.uint8)
+        hops = np.ones(n, dtype=np.int64)
         gbps = batch.gbps
         if n == 0:
             return BatchDecisions(kinds=kinds, hops=hops, gbps=gbps)
@@ -356,111 +372,130 @@ class AWGRNetworkSimulator:
                 or max(src.max(), dst.max()) >= self.n_nodes):
             raise ValueError("flow endpoint out of range")
         slots = batch.slots(self.slot_gbps)
-        pid = src * self.allocator.n_nodes + dst
-        bucket = self._bucket_at(duration_slots)
-        # Sub-slot tokens of router-carried (indirect) flows, flushed
-        # as one _DirectBatch after the scan; flow ids are batch
-        # indices, so the whole flow drops together on plane failure.
-        tok_src: list[int] = []
-        tok_dst: list[int] = []
-        tok_plane: list[int] = []
-        tok_flow: list[int] = []
-
-        start = 0
-        while start < n:
-            stop = self._admit_direct_prefix(pid, slots, start, bucket)
-            kinds[start:stop] = DIRECT
-            hops[start:stop] = 1
-            if stop >= n:
-                break
-            # First flow the direct wavelengths cannot absorb: route it
-            # exactly as the scalar path would (same allocator state,
-            # same RNG draws), then rescan the remainder.
-            code, n_hops, reservations = self.router.route_tokens(
-                int(src[stop]), int(dst[stop]), int(slots[stop]))
-            kinds[stop] = code
-            hops[stop] = n_hops
-            for (a, b, planes) in reservations:
-                tok_src.extend([a] * len(planes))
-                tok_dst.extend([b] * len(planes))
-                tok_plane.extend(planes)
-                tok_flow.extend([stop] * len(planes))
-            start = stop + 1
-        if tok_src:
-            bucket.batches.append(_DirectBatch(
-                src=np.asarray(tok_src, dtype=np.int64),
-                dst=np.asarray(tok_dst, dtype=np.int64),
-                plane=np.asarray(tok_plane, dtype=np.int64),
-                flow=np.asarray(tok_flow, dtype=np.int64)))
-        return BatchDecisions(kinds=kinds, hops=hops, gbps=gbps)
-
-    def _admit_direct_prefix(self, pid: np.ndarray, slots: np.ndarray,
-                             start: int, bucket: _ExpiryBucket) -> int:
-        """Bulk-admit the maximal direct-capable prefix from ``start``.
-
-        Returns the absolute index of the first flow that does *not*
-        fit its direct wavelengths (== ``len(pid)`` when everything
-        fits). Flows in ``[start, stop)`` are allocated exactly as
-        sequential least-loaded ``allocate`` calls would.
-        """
         alloc = self.allocator
         n_nodes = alloc.n_nodes
-        seg_pid = pid[start:]
-        seg_slots = slots[start:]
-        # Group the segment by pair, order-preserving within each pair.
-        order = np.argsort(seg_pid, kind="stable")
-        s_pid = seg_pid[order]
-        s_slots = seg_slots[order]
-        new_group = np.empty(len(s_pid), dtype=bool)
-        new_group[0] = True
-        np.not_equal(s_pid[1:], s_pid[:-1], out=new_group[1:])
-        group_start = np.flatnonzero(new_group)
-        group_sizes = np.diff(np.append(group_start, len(s_pid)))
-        # Inclusive per-pair cumulative demand, in flow order.
+        pid = src * n_nodes + dst
+        bucket = self._bucket_at(duration_slots)
+
+        # Group the batch by pair once, order-preserving within each
+        # pair: a flow goes direct iff its inclusive per-pair demand
+        # fits its pair's budget (free sub-slots at batch start).
+        order = np.argsort(pid, kind="stable")
+        s_pid = pid[order]
+        s_slots = slots[order]
+        group_start = _group_starts(s_pid)
+        group_sizes = np.diff(np.append(group_start, n))
         cumulative = np.cumsum(s_slots)
-        base = (cumulative - s_slots)[group_start]
-        within = cumulative - np.repeat(base, group_sizes)
-        # Free-slot matrix entries for the pairs present, computed once.
+        demand = cumulative - np.repeat(
+            (cumulative - s_slots)[group_start], group_sizes)
         u_pid = s_pid[group_start]
         u_src, u_dst = np.divmod(u_pid, n_nodes)
         total = alloc.healthy_planes * alloc.flows_per_wavelength
-        u_free = total - alloc._occupancy[u_src, u_dst].sum(axis=1)
-        ok_sorted = within <= np.repeat(u_free, group_sizes)
-        ok = np.empty(len(s_pid), dtype=bool)
-        ok[order] = ok_sorted
-        bad = np.flatnonzero(~ok)
-        stop = start + (int(bad[0]) if bad.size else len(s_pid))
-        if stop == start:
-            return stop
+        budget = total - alloc._occupancy[u_src, u_dst].sum(axis=1)
+        fits = demand <= np.repeat(budget, group_sizes)
+        if fits.all():
+            # The hot case under uniform load: everything is direct
+            # and the batch-wide grouping doubles as the allocation's.
+            self._admit_direct(bucket, order, s_pid, s_slots)
+            return BatchDecisions(kinds=kinds, hops=hops, gbps=gbps)
 
-        # Scatter-allocate the admitted prefix, grouped by pair. When
-        # the whole segment fit (the hot case under uniform load) the
-        # scan's grouping is reused instead of re-sorting the prefix.
-        if stop - start == len(s_pid):
-            adm_order, p_slots = order, s_slots
-            g_start = group_start
-            g_src, g_dst = u_src, u_dst
-        else:
-            adm_pid = pid[start:stop]
-            adm_order = np.argsort(adm_pid, kind="stable")
-            p_pid = adm_pid[adm_order]
-            p_slots = slots[start:stop][adm_order]
-            first = np.empty(len(p_pid), dtype=bool)
-            first[0] = True
-            np.not_equal(p_pid[1:], p_pid[:-1], out=first[1:])
-            g_start = np.flatnonzero(first)
-            g_src, g_dst = np.divmod(p_pid[g_start], n_nodes)
+        # Demand grows along each pair's flows, so the ones that fit
+        # are a prefix and a pair needs tracking only up to its first
+        # unfit flow, ``head[g]``. The heap orders the heads by flow
+        # index; an entry whose head has since moved is stale and
+        # skipped.
+        group_end = group_start + group_sizes
+        first_unfit = group_start + np.add.reduceat(
+            fits.astype(np.int64), group_start)
+        unfit_groups = np.flatnonzero(first_unfit < group_end)
+        heap = list(zip(order[first_unfit[unfit_groups]].tolist(),
+                        unfit_groups.tolist()))
+        head = [-1] * len(u_pid)
+        for (k, g) in heap:
+            head[g] = k
+        heapq.heapify(heap)
+        order_l, demand_l, budget_l = (order.tolist(), demand.tolist(),
+                                       budget.tolist())
+        start_l, end_l = group_start.tolist(), group_end.tolist()
+        pair_l = u_pid.tolist()
+        src_l, dst_l, slots_l = src.tolist(), dst.tolist(), slots.tolist()
+        # (a, b, planes, flow) of every router-carried reservation,
+        # flushed as one _DirectBatch of sub-slot tokens after the
+        # scan. Flow ids are batch indices, so the whole flow drops
+        # together on plane failure.
+        reserved: list[tuple[int, int, tuple[int, ...], int]] = []
+
+        start = 0
+        while True:
+            while heap and head[heap[0][1]] != heap[0][0]:
+                heapq.heappop(heap)
+            stop, own = heap[0] if heap else (n, -1)
+            if stop > start:
+                # The router reads occupancy: admit the direct run
+                # before routing the flow that ends it.
+                adm = start + np.argsort(pid[start:stop], kind="stable")
+                self._admit_direct(bucket, adm, pid[adm], slots[adm])
+            if stop == n:
+                break
+            heapq.heappop(heap)
+            # First flow the direct wavelengths cannot absorb: route it
+            # exactly as the scalar path would (same allocator state,
+            # same RNG draws).
+            kinds[stop], hops[stop], reservations = (
+                self.router.route_tokens(src_l[stop], dst_l[stop],
+                                         slots_l[stop]))
+            # Only the budgets of the pairs this flow touched change:
+            # its own pair no longer owes its demand, and every
+            # reservation eats into its pair's free sub-slots.
+            budget_l[own] += slots_l[stop]
+            touched = {own}
+            for (a, b, planes) in reservations:
+                reserved.append((a, b, planes, stop))
+                key = a * n_nodes + b
+                g = bisect_left(pair_l, key)
+                if g < len(pair_l) and pair_l[g] == key:
+                    budget_l[g] -= len(planes)
+                    touched.add(g)
+            # Re-evaluate the later flows of the touched pairs only.
+            for g in touched:
+                later = bisect_right(order_l, stop, start_l[g], end_l[g])
+                unfit = bisect_right(demand_l, budget_l[g], later, end_l[g])
+                head[g] = order_l[unfit] if unfit < end_l[g] else -1
+                if head[g] >= 0:
+                    heapq.heappush(heap, (head[g], g))
+            start = stop + 1
+        if reserved:
+            res_src, res_dst, res_planes, res_flow = zip(*reserved)
+            widths = np.fromiter(map(len, res_planes), dtype=np.int64,
+                                 count=len(res_planes))
+            bucket.batches.append(_DirectBatch(
+                src=np.repeat(res_src, widths),
+                dst=np.repeat(res_dst, widths),
+                plane=np.fromiter(chain.from_iterable(res_planes),
+                                  dtype=np.int64, count=int(widths.sum())),
+                flow=np.repeat(res_flow, widths)))
+        return BatchDecisions(kinds=kinds, hops=hops, gbps=gbps)
+
+    def _admit_direct(self, bucket: _ExpiryBucket, flows: np.ndarray,
+                      p_pid: np.ndarray, p_slots: np.ndarray) -> None:
+        """Scatter-allocate flows known to fit their direct wavelengths.
+
+        ``flows`` are batch indices grouped by pair (order-preserving
+        within each pair), with pair ids ``p_pid`` and sub-slot counts
+        ``p_slots``. The planes match sequential least-loaded
+        ``allocate`` calls.
+        """
+        g_start = _group_starts(p_pid)
+        g_src, g_dst = np.divmod(p_pid[g_start], self.allocator.n_nodes)
         totals = np.add.reduceat(p_slots, g_start)
-        seq = alloc.allocate_pairs(g_src, g_dst, totals)
+        seq = self.allocator.allocate_pairs(g_src, g_dst, totals)
         token_mask = np.arange(seq.shape[1])[None, :] < totals[:, None]
         # Assignment-ordered tokens are flow-major within each pair, so
         # repeating flow ids by their slot counts labels every token.
         bucket.batches.append(_DirectBatch(
             src=g_src.repeat(totals), dst=g_dst.repeat(totals),
-            plane=seq[token_mask],
-            flow=(start + adm_order).repeat(p_slots)))
-        self.router.stats[RouteKind.DIRECT] += stop - start
-        return stop
+            plane=seq[token_mask], flow=flows.repeat(p_slots)))
+        self.router.stats[RouteKind.DIRECT] += len(flows)
 
     # -- snapshot / restore ----------------------------------------------------------
 

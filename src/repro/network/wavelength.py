@@ -162,10 +162,11 @@ class WavelengthAllocator:
         self._check(src, dst)
         if slots <= 0:
             raise ValueError("slots must be positive")
-        if not self.has_capacity(src, dst, slots):
+        occ = self._occupancy[src, dst]
+        if (self.healthy_planes * self.flows_per_wavelength
+                - int(occ.sum()) < slots):
             raise RuntimeError(
                 f"no capacity for {slots} slots on pair ({src}, {dst})")
-        occ = self._occupancy[src, dst]
         if slots == 1:
             plane = int(np.argmin(
                 np.where(self._healthy, occ, _UNAVAILABLE)))
@@ -180,7 +181,7 @@ class WavelengthAllocator:
         take = np.argpartition(keys, slots - 1)[:slots]
         take = take[np.argsort(keys[take])]
         used = take // slots  # keys laid out plane-major
-        _scatter_add(occ, used, 1)
+        occ += np.bincount(used, minlength=p).astype(occ.dtype)
         return used.tolist()
 
     def allocate_pairs(self, src: np.ndarray, dst: np.ndarray,

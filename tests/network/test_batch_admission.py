@@ -124,6 +124,82 @@ class TestSeededEquivalence:
         assert batched.router.stats[RouteKind.BLOCKED] >= 1
 
 
+class TestBudgetPath:
+    """The incremental direct scan's per-pair budgets after overflow."""
+
+    def test_overflow_budgets_match_sequential_admission(self):
+        """One batch exercises both budget updates of an overflow flow.
+
+        4 nodes, 1 plane, 4 sub-slots per pair; pair (0, 3) is full
+        beforehand, so 0's only intermediate is 2. In the batch:
+
+        * (0, 1) x3 fits; (0, 1) x2 overflows through 2, reserving
+          (0, 2) and (2, 1); the next (0, 1) x1 fits again once the
+          overflow flow's demand is returned to its pair;
+        * (2, 1) x2 still fits the reserved-into pair, (2, 1) x1 no
+          longer does and overflows through 3;
+        * (0, 2) x1 fits beside the reservation, (0, 2) x2 does not
+          and is blocked.
+        """
+        scalar, batched = make_pair(0, n_nodes=4, planes=1,
+                                    flows_per_wavelength=4)
+        slot_gbps = batched.slot_gbps
+        preload = [Flow(0, 3, gbps=4 * slot_gbps)]
+        batch = [Flow(src, dst, gbps=k * slot_gbps) for (src, dst, k) in
+                 [(0, 1, 3), (0, 1, 2), (0, 1, 1), (2, 1, 2), (2, 1, 1),
+                  (0, 2, 1), (0, 2, 2)]]
+        for flow in preload:
+            scalar.offer(flow, duration_slots=5)
+        batched.offer_batch(preload, duration_slots=5)
+        decisions = [scalar.offer(flow, duration_slots=2)
+                     for flow in batch]
+        batch_decisions = batched.offer_batch(batch, duration_slots=2)
+
+        kinds = [RouteKind.DIRECT, RouteKind.INDIRECT, RouteKind.DIRECT,
+                 RouteKind.DIRECT, RouteKind.INDIRECT, RouteKind.DIRECT,
+                 RouteKind.BLOCKED]
+        assert [d.kind for d in decisions] == kinds
+        assert decisions[1].path == (0, 2, 1)
+        assert decisions[4].path == (2, 3, 1)
+        assert batch_decisions.kinds.tolist() == [
+            list(RouteKind).index(kind) for kind in kinds]
+        assert batch_decisions.hops.tolist() == [d.hops for d in decisions]
+        assert np.array_equal(scalar.allocator._occupancy,
+                              batched.allocator._occupancy)
+        snap_scalar, snap_batched = scalar.snapshot(), batched.snapshot()
+        buckets_scalar = snap_scalar.pop("buckets")
+        buckets_batched = snap_batched.pop("buckets")
+        # Allocator, piggyback boards, router RNG and stats.
+        assert snap_scalar == snap_batched
+
+        # Token store: every (src, dst, plane) sub-slot of every flow,
+        # keyed by the flow's batch index, in both representations.
+        def scalar_tokens(bucket, flows):
+            return sorted((a, b, plane, flow)
+                          for flow, (_, decision) in zip(flows,
+                                                         bucket["entries"])
+                          for (a, b, planes) in decision["reservations"]
+                          for plane in planes)
+
+        def batched_tokens(bucket):
+            assert bucket["entries"] == []
+            return sorted(
+                token for tokens in bucket["batches"]
+                for token in zip(tokens["src"], tokens["dst"],
+                                 tokens["plane"], tokens["flow"]))
+
+        assert buckets_scalar.keys() == buckets_batched.keys() == {"2", "5"}
+        carried = [i for i, d in enumerate(decisions)
+                   if d.kind is not RouteKind.BLOCKED]
+        assert (scalar_tokens(buckets_scalar["2"], carried)
+                == batched_tokens(buckets_batched["2"]))
+        assert (scalar_tokens(buckets_scalar["5"], [0])
+                == batched_tokens(buckets_batched["5"]))
+        # The scan itself admitted every direct flow: the router-carried
+        # token batch holds only the two indirect flows.
+        assert set(buckets_batched["2"]["batches"][-1]["flow"]) == {1, 4}
+
+
 class TestFailureInjectedEquivalence:
     @pytest.mark.parametrize("seed", range(4))
     def test_mid_run_failure_and_repair(self, seed):

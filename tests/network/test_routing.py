@@ -1,9 +1,19 @@
 """Indirect (Valiant) routing (paper §IV)."""
 
+import numpy as np
 import pytest
 
-from repro.network.routing import IndirectRouter, RouteKind
+from repro.network.routing import (
+    BLOCKED,
+    DIRECT,
+    DOUBLE_INDIRECT,
+    INDIRECT,
+    IndirectRouter,
+    RouteKind,
+)
+from repro.network.simulator import AWGRNetworkSimulator
 from repro.network.state import PiggybackState
+from repro.network.traffic import Flow
 from repro.network.wavelength import WavelengthAllocator
 
 
@@ -183,3 +193,113 @@ class TestRouteTokensTwin:
         assert self.KIND_CODE[decision.kind] == tokens[0]
         assert decision.reservations == tokens[2]
         assert r_a.snapshot() == r_b.snapshot()
+
+
+class RecursiveReferenceRouter(IndirectRouter):
+    """The stale-fallback walk as it was first written: a bounded
+    recursion that allocates every mispredicted candidate's first hop
+    before trying its fallback and releases it again on failure.
+
+    Kept verbatim as an oracle for the two-level walk that replaced it,
+    which reserves a first hop only once its fallback succeeds and
+    counts, rather than tries, mispredicted second intermediates.
+    """
+
+    max_fallback_depth = 1
+
+    def _route_core(self, src, dst, slots):
+        code, path, reservations, stale = self._recursive_core(
+            src, dst, slots, depth=0)
+        assert stale == (code == DOUBLE_INDIRECT)
+        return code, path, reservations
+
+    def _recursive_core(self, src, dst, slots, depth):
+        # 1. Direct wavelength.
+        if self.allocator.has_capacity(src, dst, slots):
+            planes = self.allocator.allocate(src, dst, slots)
+            return (DIRECT if depth == 0 else DOUBLE_INDIRECT,
+                    (src, dst), ((src, dst, tuple(planes)),), depth > 0)
+
+        # 2. Valiant intermediate per the (possibly stale) local view.
+        candidates = self.candidate_intermediates(src, dst, slots)
+        self._rng.shuffle(candidates)
+        if len(candidates):
+            onward_free = (self.allocator.free_slots_to(dst)[candidates]
+                           >= slots)
+            free = np.flatnonzero(onward_free)
+            mispredicted = int(free[0]) if free.size else len(candidates)
+            for i in range(mispredicted):
+                mid = int(candidates[i])
+                if not self.allocator.has_capacity(src, mid, slots):
+                    continue
+                first = self.allocator.allocate(src, mid, slots)
+                self.stale_mispredictions += 1
+                if depth < self.max_fallback_depth:
+                    code, path, reservations, _ = self._recursive_core(
+                        mid, dst, slots, depth + 1)
+                    if code != BLOCKED:
+                        return (DOUBLE_INDIRECT, (src,) + path,
+                                ((src, mid, tuple(first)),)
+                                + reservations, True)
+                self.allocator.release(src, mid, first)
+            if mispredicted < len(candidates):
+                mid = int(candidates[mispredicted])
+                first = self.allocator.allocate(src, mid, slots)
+                second = self.allocator.allocate(mid, dst, slots)
+                return (INDIRECT if depth == 0 else DOUBLE_INDIRECT,
+                        (src, mid, dst),
+                        ((src, mid, tuple(first)),
+                         (mid, dst, tuple(second))), depth > 0)
+
+        return (BLOCKED, (src,), (), False)
+
+
+class TestReferenceWalk:
+    """The two-level walk replays the recursive reference exactly:
+    same decisions, mispredictions, stats, RNG state and occupancy
+    after every flow, across seeded stale-state regimes."""
+
+    @pytest.mark.parametrize("n_nodes", [8, 16, 32])
+    @pytest.mark.parametrize("period", [1, 4, 16])
+    def test_matches_recursive_reference(self, n_nodes, period):
+        def make():
+            return AWGRNetworkSimulator(
+                n_nodes=n_nodes, planes=3, flows_per_wavelength=2,
+                state_update_period=period, rng_seed=n_nodes + period,
+                batch_admission=False)
+
+        fast, ref = make(), make()
+        ref.router = RecursiveReferenceRouter(
+            ref.allocator, state=ref.state, rng_seed=n_nodes + period)
+        slot_gbps = fast.slot_gbps
+        traffic = np.random.default_rng(1000 * n_nodes + period)
+        n_slots = 12
+        for t in range(n_slots):
+            if t == n_slots // 2:
+                # A plane fails mid-run: its flows drop and the
+                # remaining planes absorb the rest of the run.
+                assert fast.fail_plane(1) == ref.fail_plane(1)
+            hotspot = int(traffic.integers(n_nodes))
+            for _ in range(3 * n_nodes):
+                src = int(traffic.integers(n_nodes))
+                dst = (hotspot if traffic.random() < 0.5
+                       else int(traffic.integers(n_nodes)))
+                if src == dst:
+                    continue
+                flow = Flow(src, dst,
+                            gbps=slot_gbps * int(traffic.integers(1, 4)))
+                duration = int(traffic.integers(1, 4))
+                assert (fast.offer(flow, duration)
+                        == ref.offer(flow, duration))
+                assert (fast.router.stale_mispredictions
+                        == ref.router.stale_mispredictions)
+                assert fast.router.stats == ref.router.stats
+                assert (fast.router._rng.bit_generator.state
+                        == ref.router._rng.bit_generator.state)
+                assert np.array_equal(fast.allocator._occupancy,
+                                      ref.allocator._occupancy)
+            fast.step()
+            ref.step()
+        # The regimes really exercised the stale fallback.
+        assert fast.router.stale_mispredictions > 0
+        assert fast.router.stats[RouteKind.DOUBLE_INDIRECT] > 0
